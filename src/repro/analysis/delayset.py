@@ -29,14 +29,18 @@ Three TSO/LIMM-specific refinements:
   both sides resolve to the same (global, offset, size) key, never for
   merely may-aliasing abstract objects.
 
-An opt-in fourth refinement (``sync=True``) consumes the must-lockset
-analysis of :mod:`repro.analysis.sync`: a conflict edge between two
-accesses that both hold a common lock is ordered by the lock's own sc
-RMW chain (mutual exclusion + ord3/ord4 across the critical-section
-boundary) and therefore cannot lie on a critical cycle.  Fences that
-become redundant only under this refinement form the ``sync`` elision
-tier (``fences.skipped_sync``); the refinement runs *on top of* the base
-analysis and contributes nothing when it is capped.
+A fourth refinement, the ``sync`` tier, uses the must-locksets of
+:mod:`repro.analysis.sync`, which every access node carries: a conflict
+edge between two accesses that both hold a common lock is ordered by the
+lock's own sc RMW chain (mutual exclusion + ord3/ord4 across the
+critical-section boundary) and cannot lie on a critical cycle.  The tier
+is a filter over the one conflict graph (:meth:`ConflictGraph.lock_refined`
+drops the lock-ordered edges and shares everything else), and the cycle
+search runs again only when the filter dropped an edge; otherwise the
+base analysis already is the refined one.  Fences that become redundant
+only under the filter form the ``sync`` elision tier
+(``fences.skipped_sync``); a capped base analysis keeps every fence and a
+capped refined one contributes nothing.
 
 Two frontends build the conflict graph: :func:`graph_from_litmus` (each
 litmus thread is a thread; locations are exact) and
@@ -56,7 +60,7 @@ path is validated exhaustively by enumeration in the tests/CI gate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 from .. import telemetry
@@ -127,10 +131,8 @@ class ConflictGraph:
     #: access uid -> conflicting access uids (symmetric, cross-thread)
     conflicts: dict[int, set[int]] = field(default_factory=dict)
     capped: bool = False
-    #: sync refinement: drop conflict edges between accesses whose
-    #: must-locksets intersect (they are ordered by the lock's RMW chain)
-    sync: bool = False
-    sync_dropped: int = 0
+    #: lock keys held at some memory access of the module (diagnostic)
+    locks_seen: frozenset = frozenset()
 
     def add_access(self, node: Access) -> None:
         self.accesses[node.uid] = node
@@ -141,7 +143,7 @@ class ConflictGraph:
         self.fences[node.uid] = node
         self.po.setdefault(node.uid, set())
 
-    def build_conflicts(self) -> None:
+    def _conflicting_pairs(self):
         nodes = list(self.accesses.values())
         for i, a in enumerate(nodes):
             for b in nodes[i + 1:]:
@@ -149,17 +151,33 @@ class ConflictGraph:
                     continue
                 if a.kind == "R" and b.kind == "R":
                     continue
-                if not _locs_overlap(a.locs, b.locs):
-                    continue
-                if self.sync and (a.locks & b.locks):
-                    # Both sides hold a common lock at the access: mutual
-                    # exclusion plus the lock's sc RMW chain (ord3/ord4)
-                    # orders the pair, so it cannot lie on a critical
-                    # cycle (Chakraborty's sync-ordered conflict rule).
-                    self.sync_dropped += 1
-                    continue
-                self.conflicts[a.uid].add(b.uid)
-                self.conflicts[b.uid].add(a.uid)
+                if _locs_overlap(a.locs, b.locs):
+                    yield a, b
+
+    def build_conflicts(self) -> None:
+        for a, b in self._conflicting_pairs():
+            self.conflicts[a.uid].add(b.uid)
+            self.conflicts[b.uid].add(a.uid)
+
+    def lock_refined(self) -> tuple["ConflictGraph", int]:
+        """The sync filter: this graph without the conflict edges whose
+        endpoints hold a common lock.  Mutual exclusion plus the lock's sc
+        RMW chain (ord3/ord4) orders such a pair, so it cannot lie on a
+        critical cycle (Chakraborty's sync-ordered conflict rule).
+
+        Shares accesses, fences and po with this graph; the same pair loop
+        fills the new conflict sets, so their iteration order (and with it
+        the cycle search) is that of a graph built without those edges.
+        Returns the refined graph and the number of edges dropped."""
+        refined = replace(self, conflicts={u: set() for u in self.conflicts})
+        dropped = 0
+        for a, b in self._conflicting_pairs():
+            if a.locks & b.locks:
+                dropped += 1
+                continue
+            refined.conflicts[a.uid].add(b.uid)
+            refined.conflicts[b.uid].add(a.uid)
+        return refined, dropped
 
 
 # -- location keys ----------------------------------------------------------
@@ -404,6 +422,18 @@ def _analyze_graph(graph: ConflictGraph, result: DelayAnalysis,
     return result
 
 
+def lock_refined_analysis(
+        analysis: DelayAnalysis) -> tuple[DelayAnalysis, int]:
+    """The sync tier over a base analysis: filter the lock-ordered
+    conflict edges out of its graph and search again only if one was
+    dropped.  Returns the refined analysis (``analysis`` itself when
+    nothing was dropped) and the number of edges dropped."""
+    refined, dropped = analysis.graph.lock_refined()
+    if not dropped:
+        return analysis, 0
+    return analyze_graph(refined), dropped
+
+
 # -- litmus frontend --------------------------------------------------------
 
 
@@ -432,34 +462,27 @@ def litmus_locksets(program: ev.Program) -> list[list[frozenset]]:
     return out
 
 
-def graph_from_litmus(program: ev.Program,
-                      sync: bool = False) -> ConflictGraph:
+_LITMUS_ACCESSES = {ev.Ld: ("R", "Ld"), ev.St: ("W", "St"),
+                    ev.Rmw: ("RW", "RMW")}
+
+
+def graph_from_litmus(program: ev.Program) -> ConflictGraph:
     """Conflict graph of a LIMM-level litmus program (e.g. the image of
-    ``map_x86_to_ir``).  x86 ``mfence`` is treated as ``sc``.  With
-    ``sync=True``, conflict edges between accesses holding a common lock
-    (see :func:`litmus_locksets`) are dropped."""
-    graph = ConflictGraph(nthreads=len(program.threads), sync=sync)
+    ``map_x86_to_ir``).  x86 ``mfence`` is treated as ``sc``; every access
+    carries its :func:`litmus_locksets` entry."""
+    graph = ConflictGraph(nthreads=len(program.threads))
     locksets = litmus_locksets(program)
     uid = 0
     for t, ops in enumerate(program.threads):
         thread_nodes: list[int] = []
         for idx, op in enumerate(ops):
-            if isinstance(op, ev.Ld):
-                ordering = "sc" if op.ordering == "sc" else "na"
+            if isinstance(op, (ev.Ld, ev.St, ev.Rmw)):
+                kind, name = _LITMUS_ACCESSES[type(op)]
+                ordering = ("sc" if kind == "RW" or op.ordering == "sc"
+                            else "na")
                 graph.add_access(Access(
-                    uid, t, "R", ordering, frozenset({("lit", op.loc)}),
-                    f"T{t}: Ld {op.loc}", inst=(t, idx), index=idx,
-                    locks=locksets[t][idx]))
-            elif isinstance(op, ev.St):
-                ordering = "sc" if op.ordering == "sc" else "na"
-                graph.add_access(Access(
-                    uid, t, "W", ordering, frozenset({("lit", op.loc)}),
-                    f"T{t}: St {op.loc}", inst=(t, idx), index=idx,
-                    locks=locksets[t][idx]))
-            elif isinstance(op, ev.Rmw):
-                graph.add_access(Access(
-                    uid, t, "RW", "sc", frozenset({("lit", op.loc)}),
-                    f"T{t}: RMW {op.loc}", inst=(t, idx), index=idx,
+                    uid, t, kind, ordering, frozenset({("lit", op.loc)}),
+                    f"T{t}: {name} {op.loc}", inst=(t, idx), index=idx,
                     locks=locksets[t][idx]))
             elif isinstance(op, ev.Fence):
                 kind = "sc" if op.kind == "mfence" else op.kind
@@ -494,7 +517,6 @@ class LitmusDelayResult:
     elided: ev.Program
     analysis: DelayAnalysis
     decisions: list[LitmusDecision]
-    sync_analysis: Optional[DelayAnalysis] = None
 
     @property
     def elided_count(self) -> int:
@@ -515,23 +537,19 @@ def elide_litmus_fences(program: ev.Program,
     """Classify and drop redundant Frm/Fww fences of a LIMM litmus
     program.  ``sc`` fences are always kept (they encode source MFENCEs).
 
-    With ``sync=True`` a second, sync-refined analysis runs on top of the
-    base one: fences required by the base delay sets but redundant once
-    lock-ordered conflict edges are dropped are elided under the ``sync``
-    tier.  A capped/uncovered sync analysis contributes nothing (fences
-    fall back to the base verdict)."""
+    With ``sync=True`` the lock filter runs over the base graph: fences
+    required by the base delay sets but redundant once lock-ordered
+    conflict edges are dropped are elided under the ``sync`` tier.  A
+    capped/uncovered refined analysis contributes nothing (fences keep
+    the base verdict)."""
     graph = graph_from_litmus(program)
     analysis = analyze_graph(graph)
-    sync_analysis: Optional[DelayAnalysis] = None
     sync_redundant: set = set()  # (t, idx) inst keys
-    if sync:
-        sync_graph = graph_from_litmus(program, sync=True)
-        sync_analysis = analyze_graph(sync_graph)
-        if not sync_analysis.keep_all:
-            sync_redundant = {
-                f.inst for f_uid, f in sync_graph.fences.items()
-                if f.kind != "sc" and f_uid in sync_analysis.redundant
-            }
+    if sync and not analysis.keep_all:
+        refined, _ = lock_refined_analysis(analysis)
+        if not refined.keep_all:
+            sync_redundant = {graph.fences[f_uid].inst
+                              for f_uid in refined.redundant}
     verdicts: dict[tuple[int, int], tuple[str, str, str]] = {}
     for f_uid, f in graph.fences.items():
         if f.kind == "sc":
@@ -574,8 +592,7 @@ def elide_litmus_fences(program: ev.Program,
         threads.append(kept_ops)
     elided = ev.Program(threads, dict(program.init),
                         f"{program.name}-delayset")
-    return LitmusDelayResult(program, elided, analysis, decisions,
-                             sync_analysis=sync_analysis)
+    return LitmusDelayResult(program, elided, analysis, decisions)
 
 
 def check_litmus_elision(
@@ -615,6 +632,9 @@ def _block_reach(func: Function) -> dict:
     return reach
 
 
+_ACCESS_LABELS = {"R": "load", "W": "store", "RW": "rmw"}
+
+
 @dataclass
 class FenceDecision:
     func: str
@@ -644,8 +664,7 @@ class ModuleDelayResult:
 
 
 def graph_from_module(module: Module,
-                      ma: Optional[ModuleAnalysis] = None,
-                      sync: bool = False) -> tuple[
+                      ma: Optional[ModuleAnalysis] = None) -> tuple[
                           ConflictGraph, list[str]]:
     """Build the whole-module conflict graph.
 
@@ -658,17 +677,15 @@ def graph_from_module(module: Module,
     External calls are assumed memory-model-neutral (see module docstring
     Limitations) and contribute no access node.
 
-    With ``sync=True`` every access node carries the must-lockset the
-    :mod:`repro.analysis.sync` dataflow computed for its instruction, and
-    conflict edges between accesses holding a common lock are dropped.
+    Every access node carries the must-lockset the
+    :mod:`repro.analysis.sync` dataflow computed for its instruction.
     """
+    from .sync import compute_locksets
+
     ma = ma or analyze_module(module)
     cg = ma.callgraph
-    locks_at: dict[int, frozenset] = {}
-    if sync:
-        from .sync import compute_locksets
-        locks_at = compute_locksets(module, ma).at_instruction
-    graph = ConflictGraph(sync=sync)
+    locksets = compute_locksets(module, ma)
+    graph = ConflictGraph(locks_seen=frozenset(locksets.locks_seen))
     thread_names: list[str] = []
     roots: list[tuple[Function, int]] = []
     for root in cg.thread_roots():
@@ -710,38 +727,20 @@ def graph_from_module(module: Module,
             for bb in func.blocks:
                 for idx, inst in enumerate(bb.instructions):
                     node = None
-                    if isinstance(inst, Load) and \
-                            not alias.is_thread_local(inst.pointer):
-                        node = Access(
-                            fresh_uid(), thread, "R",
-                            "na" if inst.ordering == "na" else "sc",
-                            _location_keys(inst, inst.pointer, func, alias),
-                            f"{func.name}:{bb.name}:{idx} load",
-                            inst=inst, func=func.name, block=bb.name,
-                            index=idx, locks=locks_at.get(id(inst),
-                                                          frozenset()))
-                        graph.add_access(node)
-                    elif isinstance(inst, Store) and \
-                            not alias.is_thread_local(inst.pointer):
-                        node = Access(
-                            fresh_uid(), thread, "W",
-                            "na" if inst.ordering == "na" else "sc",
-                            _location_keys(inst, inst.pointer, func, alias),
-                            f"{func.name}:{bb.name}:{idx} store",
-                            inst=inst, func=func.name, block=bb.name,
-                            index=idx, locks=locks_at.get(id(inst),
-                                                          frozenset()))
-                        graph.add_access(node)
-                    elif isinstance(inst, (AtomicRMW, CmpXchg)):
+                    if isinstance(inst, (Load, Store, AtomicRMW, CmpXchg)):
                         if not alias.is_thread_local(inst.pointer):
+                            kind = ("R" if isinstance(inst, Load) else
+                                    "W" if isinstance(inst, Store) else "RW")
+                            ordering = ("na" if kind != "RW"
+                                        and inst.ordering == "na" else "sc")
                             node = Access(
-                                fresh_uid(), thread, "RW", "sc",
+                                fresh_uid(), thread, kind, ordering,
                                 _location_keys(inst, inst.pointer, func,
                                                alias),
-                                f"{func.name}:{bb.name}:{idx} rmw",
+                                f"{func.name}:{bb.name}:{idx} "
+                                + _ACCESS_LABELS[kind],
                                 inst=inst, func=func.name, block=bb.name,
-                                index=idx, locks=locks_at.get(id(inst),
-                                                              frozenset()))
+                                index=idx, locks=locksets.locks_for(inst))
                             graph.add_access(node)
                     elif isinstance(inst, Fence):
                         node = FenceNode(
@@ -801,9 +800,9 @@ def graph_from_module(module: Module,
 
 
 def analyze_module_fences(module: Module,
-                          ma: Optional[ModuleAnalysis] = None,
-                          sync: bool = False) -> ModuleDelayResult:
-    graph, thread_names = graph_from_module(module, ma, sync=sync)
+                          ma: Optional[ModuleAnalysis] = None
+                          ) -> ModuleDelayResult:
+    graph, thread_names = graph_from_module(module, ma)
     analysis = analyze_graph(graph)
     result = ModuleDelayResult(graph, analysis, threads=thread_names)
     for f_uid, f in graph.fences.items():
@@ -854,7 +853,6 @@ def _protected_access(fence_inst: Fence):
 
 def elide_redundant_fences(module: Module,
                            ma: Optional[ModuleAnalysis] = None,
-                           result: Optional[ModuleDelayResult] = None,
                            sync: bool = False) -> DelaySetStats:
     """Remove every Frm/Fww the delay-set analysis proves redundant.
 
@@ -864,25 +862,24 @@ def elide_redundant_fences(module: Module,
     ``delayset_cert`` so ``fencecheck`` (and the oracle's audit rung) can
     distinguish a certified elision from a lost fence.
 
-    With ``sync=True`` a second, lockset-refined analysis runs on top:
-    fences the base delay sets require but whose every ordered conflict is
+    With ``sync=True`` the lock filter runs over the same graph: fences
+    the base delay sets require but whose every ordered conflict is
     lock-protected are elided under the ``sync`` tier
-    (``fences.skipped_sync``).  A capped or uncovered sync analysis
+    (``fences.skipped_sync``).  A capped or uncovered refined analysis
     contributes nothing — fences keep their base verdict.
     """
-    if result is None:
-        result = analyze_module_fences(module, ma)
-    result_sync: Optional[ModuleDelayResult] = None
-    if sync and not result.keep_all:
-        candidate = analyze_module_fences(module, ma, sync=True)
-        if not candidate.keep_all:
-            result_sync = candidate
+    result = analyze_module_fences(module, ma)
     stats = DelaySetStats(capped=result.analysis.capped,
                           kept_all=result.keep_all,
-                          delay_edges=len(result.analysis.delay_edges),
-                          sync=result_sync is not None)
-    if result_sync is not None:
-        stats.sync_dropped_conflicts = result_sync.graph.sync_dropped
+                          delay_edges=len(result.analysis.delay_edges))
+    sync_required: Optional[set[int]] = None  # id(fence inst)
+    if sync and not result.keep_all:
+        refined, dropped = lock_refined_analysis(result.analysis)
+        if not refined.keep_all:
+            stats.sync = True
+            stats.sync_dropped_conflicts = dropped
+            sync_required = {id(result.graph.fences[f_uid].inst)
+                             for f_uid in refined.required}
     emit = telemetry.remarks_enabled()
     for func in module.functions.values():
         if func.is_declaration:
@@ -914,9 +911,8 @@ def elide_redundant_fences(module: Module,
                     tier = "delayset"
                     reason = ("covers no critical-cycle delay edge "
                               "(Shasha-Snir delay-set analysis)")
-                elif (result_sync is not None
-                        and id(inst) in result_sync.seen_insts
-                        and id(inst) not in result_sync.required_insts):
+                elif (sync_required is not None
+                        and id(inst) not in sync_required):
                     tier = "sync"
                     reason = ("every conflict it orders is lock-protected "
                               "(sync-refined delay sets)")
@@ -978,11 +974,14 @@ def audit_module(module: Module,
     snapshot, where fences are still adjacent to their accesses.
 
     Pass ``sync=True`` when the module was elided under the sync tier —
-    the audit then re-derives the lockset-refined graph, whose delay
-    edges are a subset of the base analysis's."""
-    result = analyze_module_fences(module, ma, sync=sync)
+    the audit then searches the lock-filtered graph, whose delay edges
+    are a subset of the base graph's."""
+    graph, _ = graph_from_module(module, ma)
+    if sync:
+        graph, _ = graph.lock_refined()
+    analysis = analyze_graph(graph)
     violations: list[str] = []
-    if result.analysis.capped:
+    if analysis.capped:
         certified = any(
             getattr(inst, "delayset_cert", None)
             for func in module.functions.values()
@@ -993,9 +992,9 @@ def audit_module(module: Module,
                 "delay-set audit: analysis budget exhausted but the module "
                 "carries delayset_cert stamps")
         return violations
-    for u_uid, v_uid in result.analysis.uncovered:
-        u = result.graph.accesses[u_uid]
-        v = result.graph.accesses[v_uid]
+    for u_uid, v_uid in analysis.uncovered:
+        u = graph.accesses[u_uid]
+        v = graph.accesses[v_uid]
         violations.append(
             f"uncovered delay edge {u.label} -> {v.label}: no surviving "
             "fence orders a critical-cycle pair")

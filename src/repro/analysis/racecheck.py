@@ -49,8 +49,7 @@ from ..lir import (
 )
 from ..provenance.origin import format_origins
 from .delayset import graph_from_module
-from .summaries import ModuleAnalysis, analyze_module
-from .sync import compute_locksets
+from .summaries import ModuleAnalysis
 
 #: classification labels, in decreasing severity
 CLASSIFICATIONS = ("racy", "lock-protected", "atomic", "thread-local")
@@ -139,17 +138,13 @@ def classify_module(module: Module,
     Pass a pre-built :class:`~repro.analysis.summaries.ModuleAnalysis` to
     share the call graph and alias work with the rest of the pipeline.
     """
-    ma = ma or analyze_module(module)
-    locksets = compute_locksets(module, ma)
-    locks_at = locksets.at_instruction
-    # Base (unrefined) graph: the sync refinement would drop exactly the
-    # conflict edges this classifier needs to *see* to call an access
+    # The unrefined graph: the sync filter would drop exactly the conflict
+    # edges this classifier needs to *see* to call an access
     # lock-protected rather than thread-local.
-    graph, thread_names = graph_from_module(module, ma, sync=False)
+    graph, thread_names = graph_from_module(module, ma)
 
     report = RaceReport(threads=thread_names, capped=graph.capped,
-                        locks_seen=_lock_names(
-                            frozenset(locksets.locks_seen)))
+                        locks_seen=_lock_names(graph.locks_seen))
     counts = {c: 0 for c in CLASSIFICATIONS}
 
     # Group graph nodes by underlying instruction: a worker spawned twice
@@ -171,14 +166,14 @@ def classify_module(module: Module,
         if any(n.ordering == "sc" for n in nodes) or isinstance(
                 inst, (AtomicRMW, CmpXchg)):
             return "atomic", frozenset()
-        my_locks = locks_at.get(id(inst), frozenset())
+        my_locks = nodes[0].locks
         if not my_locks:
             return "racy", frozenset()
         common: Optional[frozenset] = None
         for other in conflicts:
             # Conservative even against atomics: an sc access on the
             # other side orders itself, not this na access's observers.
-            shared = my_locks & locks_at.get(id(other.inst), frozenset())
+            shared = my_locks & other.locks
             if not shared:
                 return "racy", frozenset()
             common = shared if common is None else (common & shared)

@@ -74,15 +74,19 @@ class ArmEmulator:
         self.symbols: dict[str, int] = {}
         self.external_addr: dict[str, int] = {}
         self._resolve()
-        self.externals: dict[str, Callable[[ArmThread], None]] = {
-            "malloc": self._ext_malloc,
-            "spawn": self._ext_spawn,
-            "join": self._ext_join,
-            "print_i64": self._ext_print_i64,
-            "print_f64": self._ext_print_f64,
-            "abort": self._ext_abort,
-            "thread_id": self._ext_thread_id,
-            "sqrt": self._ext_sqrt,
+        # Plain functions called as handler(emu, thread): bound methods
+        # here would put every emulator (and its memory) in a reference
+        # cycle that only the cyclic collector frees.
+        self.externals: dict[
+            str, Callable[["ArmEmulator", ArmThread], None]] = {
+            "malloc": ArmEmulator._ext_malloc,
+            "spawn": ArmEmulator._ext_spawn,
+            "join": ArmEmulator._ext_join,
+            "print_i64": ArmEmulator._ext_print_i64,
+            "print_f64": ArmEmulator._ext_print_f64,
+            "abort": ArmEmulator._ext_abort,
+            "thread_id": ArmEmulator._ext_thread_id,
+            "sqrt": ArmEmulator._ext_sqrt,
         }
         # Loader-catalog externals (libc names from real ELF binaries)
         # run through the shared execution kernel, so both emulators
@@ -335,7 +339,7 @@ class ArmEmulator:
                     raise ArmEmuError(
                         f"call to external {name!r} has no runtime handler "
                         f"(opaque/uncatalogued function)")
-                if handler(thread) == RETRY:
+                if handler(self, thread) == RETRY:
                     # Blocking call (mutex lock, join): leave pc on the bl
                     # so the scheduler re-executes it after other threads
                     # get to run.

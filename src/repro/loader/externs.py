@@ -574,28 +574,27 @@ class _ArmEnv(ExternEnv):
         raise RuntimeError(f"join of unknown thread {tid}")
 
 
+def _catalog_handler(env_class, fn):
+    """An emulator external running catalog handler ``fn`` through
+    ``env_class``; called as ``handler(emu, thread)``, so it holds no
+    reference to the emulator."""
+    def handler(emu, thread):
+        return fn(env_class(emu, thread))
+    return handler
+
+
 def install_x86_catalog(emu) -> None:
     """Register handlers for every catalogued external the object names.
     Existing runtime handlers (minicc's malloc/spawn/...) are kept."""
-    def make(fn):
-        def handler(thread):
-            return fn(_X86Env(emu, thread))
-        return handler
-
     for name in emu.obj.externals:
         base = name.split("@", 1)[0]  # "printf@401040": second address
         if base in HANDLERS and name not in emu.externals:
-            emu.externals[name] = make(HANDLERS[base])
+            emu.externals[name] = _catalog_handler(_X86Env, HANDLERS[base])
 
 
 def install_arm_catalog(emu) -> None:
     """Same, keyed off the Arm program's declared externals."""
-    def make(fn):
-        def handler(thread):
-            return fn(_ArmEnv(emu, thread))
-        return handler
-
     for name in emu.program.externals:
         base = name.split("@", 1)[0]
         if base in HANDLERS and name not in emu.externals:
-            emu.externals[name] = make(HANDLERS[base])
+            emu.externals[name] = _catalog_handler(_ArmEnv, HANDLERS[base])

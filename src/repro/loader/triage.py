@@ -392,7 +392,8 @@ def _synthesize_data(elf: elfmod.ElfFile, addrs: set[int],
     func_ranges = [(f.address, f.address + f.size) for f in functions.values()]
     out: dict[str, DataSymbol] = {}
     covered: list[tuple[int, int]] = []
-    for addr in sorted(addrs):
+    ordered = sorted(addrs)
+    for i, addr in enumerate(ordered):
         if any(lo <= addr < hi for lo, hi in func_ranges):
             continue
         if any(lo <= addr < hi for lo, hi in covered):
@@ -406,9 +407,14 @@ def _synthesize_data(elf: elfmod.ElfFile, addrs: set[int],
             name, base = sym.name, sym.value
         else:
             # Anonymous literal; most are C strings, so NUL-scan for a
-            # plausible extent (minimum one 8-byte slot).
+            # plausible extent, padded to one 8-byte slot when the pad
+            # reaches no other referenced address (a tail-merged string
+            # may still start inside the scanned extent).
             blob = elf.read_cstr(addr, MAX_ANON_DATA)
-            size = max(8, len(blob) + 1)
+            pad = 8
+            if i + 1 < len(ordered):
+                pad = min(pad, ordered[i + 1] - addr)
+            size = max(pad, len(blob) + 1)
             size = min(size, sec.sh_addr + sec.sh_size - addr)
             name, base = f"data_{addr:x}", addr
         if name in out:

@@ -1,5 +1,6 @@
 """mini-C: the C-subset compiler used to produce x86-64 binaries (lifter
-input) and native Arm binaries (the evaluation's Native baseline)."""
+input).  Its LIR frontend (``frontend_lir``) feeds the native pipeline,
+the evaluation's Native baseline."""
 
 from .astnodes import CType, FuncDef, Program
 from .codegen_x86 import CodegenError, compile_to_x86
@@ -14,7 +15,3 @@ __all__ = [
     "ParseError", "parse",
     "BUILTINS", "SemaError", "SemaResult", "analyze",
 ]
-
-from .codegen_arm import ArmCodegenError, compile_to_arm  # noqa: E402
-
-__all__ += ["ArmCodegenError", "compile_to_arm"]

@@ -79,14 +79,17 @@ class X86Emulator:
         self.max_steps = 500_000_000
         self.icache: dict[int, Instr] = {}
         self._load_image()
-        self.externals: dict[str, Callable[[Thread], None]] = {
-            "malloc": self._ext_malloc,
-            "spawn": self._ext_spawn,
-            "join": self._ext_join,
-            "print_i64": self._ext_print_i64,
-            "print_f64": self._ext_print_f64,
-            "abort": self._ext_abort,
-            "thread_id": self._ext_thread_id,
+        # Plain functions called as handler(emu, thread): bound methods
+        # here would put every emulator (and its memory) in a reference
+        # cycle that only the cyclic collector frees.
+        self.externals: dict[str, Callable[["X86Emulator", Thread], None]] = {
+            "malloc": X86Emulator._ext_malloc,
+            "spawn": X86Emulator._ext_spawn,
+            "join": X86Emulator._ext_join,
+            "print_i64": X86Emulator._ext_print_i64,
+            "print_f64": X86Emulator._ext_print_f64,
+            "abort": X86Emulator._ext_abort,
+            "thread_id": X86Emulator._ext_thread_id,
         }
         # Catalogued externals (libc string/memory helpers, pthread
         # mutexes) run through the loader catalog's shared execution
@@ -449,7 +452,7 @@ class X86Emulator:
                         f"call to external {ext!r} at {target:#x} has no "
                         f"runtime handler (opaque/uncatalogued function)")
                 self._flush(thread)  # runtime entry is a full barrier
-                if handler(thread) == "retry":
+                if handler(self, thread) == "retry":
                     return  # rip unchanged: re-execute the call later
             else:
                 rsp = (thread.regs["rsp"] - 8) & (2**64 - 1)

@@ -1,9 +1,16 @@
 """Tests for the must-lockset dataflow (repro.analysis.sync), the
-sync-refined delay-set tier, and the lock-based litmus enumeration gate."""
+sync tier of the delay-set analysis (a lock filter over its one conflict
+graph), and the lock-based litmus enumeration gate."""
 
+from pathlib import Path
+
+from repro import Lasagne
+from repro.analysis import delayset, sync
 from repro.analysis.delayset import (
+    audit_module,
     check_litmus_elision,
     elide_redundant_fences,
+    graph_from_litmus,
 )
 from repro.analysis.sync import (
     ALL_LOCKS,
@@ -30,6 +37,10 @@ from repro.memmodel.litmus import (
     MP_LOCKED_HALF,
     MP_TWO_LOCKS,
 )
+from repro.memmodel.mappings import map_x86_to_ir
+from repro.profiler import workcounters
+
+EXAMPLES = Path(__file__).resolve().parents[1] / "examples"
 
 MUTEX_SIG = FunctionType(I64, (I64,))
 M_KEY = ("lock", "m", 0)
@@ -344,6 +355,11 @@ class TestModuleSyncElision:
         # The sync-tier decisions carry their tier for SARIF/remarks.
         tiers = {d.tier for d in stats.decisions if d.verdict == "redundant"}
         assert "sync" in tiers
+        # The audit re-derives the certificates through the same filter;
+        # without it, the removed fences leave the MP cycle uncovered.
+        assert audit_module(synced, sync=True) == []
+        assert any("uncovered delay edge" in v
+                   for v in audit_module(synced))
 
     def test_half_locked_mp_keeps_fences(self):
         m = _locked_mp_module(lock_reader=False)
@@ -351,6 +367,10 @@ class TestModuleSyncElision:
         assert stats.required == 2
         assert stats.elided_sync == 0
         assert len(_fences(m)) == 2
+        # No common lock, so the filter drops nothing and the base
+        # analysis stands as the refined one.
+        assert stats.sync
+        assert stats.sync_dropped_conflicts == 0
 
 
 class TestLockLitmusGate:
@@ -384,3 +404,71 @@ class TestLockLitmusGate:
         for program in LOCK_LITMUS:
             sound, _ = check_litmus_elision(program, sync=True)
             assert sound, f"{program.name}: sync elision is UNSOUND"
+
+
+def _counting(monkeypatch, calls, module, name):
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls[name] = calls.get(name, 0) + 1
+        return original(*args, **kwargs)
+    monkeypatch.setattr(module, name, counted)
+
+
+def _build(example: str, fence_analysis: str):
+    source = (EXAMPLES / example).read_text()
+    with workcounters.collect() as wc:
+        built = Lasagne(fence_analysis=fence_analysis).build(source, "ppopt")
+    return built, wc.by_counter()
+
+
+class TestLockFilter:
+    """The sync tier filters the one delay-set conflict graph."""
+
+    def test_filter_drops_exactly_the_lock_ordered_edges(self):
+        graph = graph_from_litmus(map_x86_to_ir(MP_LOCKED))
+        refined, dropped = graph.lock_refined()
+        assert refined.accesses is graph.accesses
+        assert refined.po is graph.po
+        accesses = graph.accesses
+        expected = {
+            uid: {other for other in others
+                  if not accesses[uid].locks & accesses[other].locks}
+            for uid, others in graph.conflicts.items()}
+        assert refined.conflicts == expected
+        removed = sum(len(graph.conflicts[u]) - len(expected[u])
+                      for u in expected)
+        assert dropped == removed // 2 > 0
+
+    def test_elision_builds_one_graph(self, monkeypatch):
+        calls: dict[str, int] = {}
+        _counting(monkeypatch, calls, delayset, "graph_from_module")
+        _counting(monkeypatch, calls, delayset, "analyze_module")
+        _counting(monkeypatch, calls, sync, "compute_locksets")
+        stats = elide_redundant_fences(_locked_mp_module(), sync=True)
+        assert stats.elided_sync == 2
+        assert calls == {"graph_from_module": 1, "analyze_module": 1,
+                         "compute_locksets": 1}
+
+    def test_lock_free_module_searches_once(self):
+        base, base_work = _build("demo.c", "delay-sets")
+        synced, sync_work = _build("demo.c", "sync")
+        assert synced.delayset.sync
+        assert synced.delayset.sync_dropped_conflicts == 0
+        assert sync_work["delayset.cycle_steps"] > 0
+        assert (sync_work["delayset.cycle_steps"]
+                == base_work["delayset.cycle_steps"])
+        assert (sync_work["delayset.candidates"]
+                == base_work["delayset.candidates"])
+        assert synced.fences == base.fences
+
+    def test_locked_example_elides_through_the_filter(self):
+        base, base_work = _build("locked.c", "delay-sets")
+        synced, sync_work = _build("locked.c", "sync")
+        ds = synced.delayset
+        assert ds.sync_dropped_conflicts == 10
+        assert ds.elided_sync == 3
+        assert synced.fences == 0 < base.fences
+        # An edge was dropped, so the filtered graph was searched too.
+        assert (sync_work["delayset.cycle_steps"]
+                > base_work["delayset.cycle_steps"])

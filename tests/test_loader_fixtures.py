@@ -26,7 +26,7 @@ FIXTURES = Path(__file__).resolve().parent.parent / "examples" / "elf"
 #: fixture name -> (exit code, full concatenated output)
 EXPECTED = {
     "sum": (36, "9864136\n"),
-    "strings": (11, "match\nhello world\n11"),
+    "strings": (11, "match\nhello world\n11\n"),
     "memgrid": (104, "2664\n"),
 }
 
@@ -95,6 +95,23 @@ def test_all_translated_configs_agree():
     for config in ("lifted", "opt", "popt", "ppopt"):
         built = Lasagne(verify=True).translate(obj, config)
         run = Lasagne.run(built)
+        assert run.result == want_code, config
+        assert "".join(run.output) == want_out, config
+
+
+def test_strings_prints_every_literal_whole():
+    """``"match"`` is 6 bytes, and ``"%ld\n"`` starts right after it: the
+    loader must recover them as two literals, not pad the first over the
+    head of the second (which printed ``11`` without its newline)."""
+    obj, _ = _load("strings")
+    want_code, want_out = EXPECTED["strings"]
+    assert want_out.endswith("\n11\n")
+    assert obj.data_symbols["data_479010"].init == b"match\x00"
+    x86 = X86Emulator(obj)
+    assert x86.run("main") == want_code
+    assert "".join(x86.output) == want_out
+    for config in ("lifted", "opt", "popt", "ppopt"):
+        run = Lasagne.run(Lasagne(verify=True).translate(obj, config))
         assert run.result == want_code, config
         assert "".join(run.output) == want_out, config
 
